@@ -461,8 +461,8 @@ def cross_lang_nn(sf_dir: str, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     vec_ids, mat = load_embedding_matrix(sf_dir)
-    order = np.argsort(vec_ids)      # argmax picks the FIRST max -> the
-    vec_ids, mat = vec_ids[order], mat[order]   # smallest nn_id on ties
+    order = np.argsort(vec_ids)      # columns in nn_id order
+    vec_ids, mat = vec_ids[order], mat[order]
     doc_ids, langs = load_doc_langs(sf_dir)
     pos = np.searchsorted(doc_ids, vec_ids)
     posc = np.clip(pos, 0, max(0, len(doc_ids) - 1))
@@ -476,12 +476,29 @@ def cross_lang_nn(sf_dir: str, method: str = "auto",
     c_mat = mat[valid]
     c_langs = lang_of[valid].astype(str)
     uq, c_codes = np.unique(c_langs, return_inverse=True)
-    bc = ray.put((c_ids, c_mat, c_codes.astype(np.int32), c_langs))
+    # Exact ties can't be left to argmax-first: gemm rounding depends on
+    # a column's position (trailing columns take another micro-kernel),
+    # so bit-identical corpus rows can score 1 ulp apart.  The tie-break
+    # keys on vector identity instead: group the rows by their bytes,
+    # and per group keep its first (= smallest-id) member and its first
+    # member of a language other than that one's.
+    rows = np.ascontiguousarray(c_mat)
+    rows = rows.view(np.dtype((np.void, rows.dtype.itemsize
+                               * rows.shape[1]))).ravel()
+    _, g_first, c_grp = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+    other = np.flatnonzero(c_codes != c_codes[g_first[c_grp]])
+    g_alt = np.full(len(g_first), -1, dtype=np.int64)
+    ag, ai = np.unique(c_grp[other], return_index=True)
+    g_alt[ag] = other[ai]
+    bc = ray.put((c_ids, c_mat, c_codes.astype(np.int32), c_langs,
+                  c_grp, g_first, g_alt))
 
     def stage(batch: pa.Table, bc=bc) -> pa.Table:
         from ..state.bcast import cached_get
 
-        c_ids, c_mat, c_codes, c_langs = cached_get(bc)
+        c_ids, c_mat, c_codes, c_langs, c_grp, g_first, g_alt = \
+            cached_get(bc)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         emb = normalized_matrix(batch["embedding"])
@@ -505,6 +522,11 @@ def cross_lang_nn(sf_dir: str, method: str = "auto",
         ok = ~np.all(np.isneginf(sims), axis=1)    # single-lang corpus
         ids, sims, pc_ = ids[ok], sims[ok], pc_[ok]
         nn = np.argmax(sims, axis=1)
+        # the winner's exact-duplicate group -> its smallest-id member of
+        # another language than the query's (O(B), no second matmul)
+        g = c_grp[nn]
+        nn = np.where(c_codes[g_first[g]] != c_codes[pc_], g_first[g],
+                      g_alt[g])
         return pa.table({
             "vec_id": pa.array(ids, type=pa.int64()),
             "lang": pa.array(c_langs[pc_], type=pa.string()),
